@@ -2,9 +2,9 @@
 //
 // Measures build-and-query rounds/second of the sorted-window SectionSet
 // (brs/section_set.h) against the pinned pre-rewrite ReferenceSectionSet
-// (linear scans, member-by-member subtraction) and emits a
-// machine-readable BENCH_brs.json for scripts/bench_compare (the CI
-// perf-smoke gate).
+// test oracle (tests/oracles; linear scans, member-by-member subtraction)
+// and emits a machine-readable BENCH_brs.json for scripts/bench_compare
+// (the CI perf-smoke gate).
 //
 //   ./build/bench/micro_brs [--out FILE] [--quick]
 //
@@ -24,9 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "brs/reference_section_set.h"
 #include "brs/section.h"
 #include "brs/section_set.h"
+#include "oracles/reference_section_set.h"
 #include "skeleton/skeleton.h"
 #include "util/rng.h"
 

@@ -1,8 +1,9 @@
 // micro_sim — projection hot-path throughput benchmark.
 //
-// Measures projections/second of the discrete-event simulator's two
-// engines (cohort fast path vs retained reference) across workload shapes
-// and grid sizes, serial and with 8 workers, and emits a machine-readable
+// Measures projections/second of the discrete-event simulator (cohort
+// engine) against the per-block reference oracle from
+// tests/oracles/reference_event_sim.h across workload shapes and grid
+// sizes, serial and with 8 workers, and emits a machine-readable
 // BENCH_sim.json for scripts/bench_compare (the CI perf-smoke gate).
 //
 //   ./build/bench/micro_sim [--out FILE] [--quick]
@@ -26,6 +27,7 @@
 
 #include "gpumodel/characteristics.h"
 #include "hw/registry.h"
+#include "oracles/reference_event_sim.h"
 #include "sim/event_sim.h"
 #include "skeleton/builder.h"
 
@@ -62,8 +64,7 @@ namespace {
 using grophecy::gpumodel::KernelCharacteristics;
 using grophecy::gpumodel::Variant;
 using grophecy::sim::EventGpuSimulator;
-using grophecy::sim::EventSimOptions;
-using grophecy::sim::SimEngine;
+using grophecy::sim::ReferenceEventSimulator;
 
 constexpr int kWorkers = 8;
 
@@ -127,7 +128,7 @@ KernelCharacteristics characteristics_for(const Workload& workload,
 /// slows a call down, so the minimum is the most machine-portable
 /// sample — and the gated speedups are ratios of two measurements taken
 /// the same way. The three-call floor matters for slow configurations
-/// (the reference engine on a 262144-block grid) where one call exceeds
+/// (the reference oracle on a 262144-block grid) where one call exceeds
 /// the whole budget: a minimum over a single sample is just that
 /// sample's noise, and it lands in the gated ratio.
 template <typename Fn>
@@ -273,11 +274,10 @@ int main(int argc, char** argv) {
                      : (grid >= 65536 ? 5.0 : 1.0);
 
         EventGpuSimulator cohort(gpu, 7);
-        EventGpuSimulator reference(
-            gpu, 7, EventSimOptions{SimEngine::kReference, 0.0});
+        ReferenceEventSimulator reference(gpu, 7);
         const double min_seconds =
             jittered ? jittered_min_seconds : base_min_seconds;
-        auto measure = [&](EventGpuSimulator& sim) {
+        auto measure = [&](auto& sim) {
           return jittered
                      ? throughput([&] { (void)sim.run_launch_seconds(kc); },
                                   min_seconds)

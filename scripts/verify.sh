@@ -59,7 +59,7 @@ for arg in "$@"; do
       # TSan slows everything ~10x; focus it on the code that actually
       # shares state across threads (ctest names are GTest suite.test).
       run_preset tsan --no-tests=error -R \
-        '^(SweepEngine|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|CalibrationCache|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos)\.'
+        '^(SweepEngine|AttemptRunner|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|CalibrationCache|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos)\.'
       ;;
     --bench)
       # Discover the benches from the built binaries instead of a

@@ -78,8 +78,8 @@ struct ProjectionOptions {
   /// (sim::EventGpuSimulator) instead of the wave-based one: greedy block
   /// scheduling + chip-wide DRAM contention.
   bool detailed_sim = false;
-  /// Engine selection and tuning for the detailed simulator (cohort fast
-  /// path by default; SimEngine::kReference restores the original loop).
+  /// Tuning for the detailed simulator's cohort engine (the original
+  /// per-block loop is a test oracle: tests/oracles/reference_event_sim.h).
   sim::EventSimOptions event_sim;
   /// Serve calibration from the process-wide pcie::CalibrationCache: one
   /// synthetic-benchmark run per (machine, calibration options, memory

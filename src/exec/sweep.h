@@ -50,7 +50,9 @@
 // through.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <future>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -109,6 +111,59 @@ struct JobError {
 /// supervised attempts and the serve::Daemon request executor, so batch
 /// and online failures classify identically.
 JobError classify_current_exception();
+
+/// Runs single attempts of jobs, under a wall-clock watchdog when a finite
+/// timeout applies. The one supervised-attempt mechanism: SweepEngine
+/// (per-attempt deadline) and serve::Daemon (remaining request deadline)
+/// both run every attempt through it, so batch and online attempts time
+/// out, abandon, and classify identically. Thread-safe.
+///
+/// With an infinite timeout the job runs inline on the calling thread.
+/// Otherwise it runs as a packaged task on its own thread while the
+/// caller waits up to the timeout; a job still running then is
+/// *abandoned* — it keeps running, its result is discarded, and the
+/// attempt reports a retryable kTimeout error. The task owns copies of
+/// the job function and spec, so an abandoned job never touches the
+/// caller's stack. Abandoned threads whose job has finished are joined by
+/// the next run(); join_strays() and the destructor join the rest, so
+/// abandoned jobs must terminate eventually (simulated hangs do; a truly
+/// infinite loop would block teardown — real deployments should isolate
+/// such jobs in processes, not threads).
+class AttemptRunner {
+ public:
+  using JobFn = std::function<core::ProjectionReport(const JobSpec&)>;
+
+  struct Result {
+    std::optional<core::ProjectionReport> report;
+    JobError error;  ///< Meaningful when report is empty.
+  };
+
+  AttemptRunner() = default;
+  ~AttemptRunner() { join_strays(); }
+
+  AttemptRunner(const AttemptRunner&) = delete;
+  AttemptRunner& operator=(const AttemptRunner&) = delete;
+
+  /// One attempt of fn(spec); never throws.
+  Result run(const JobFn& fn, const JobSpec& spec, double timeout_s);
+
+  /// Attempts abandoned since construction.
+  std::uint64_t abandoned() const;
+  /// Abandoned threads not joined yet.
+  std::size_t strays() const;
+  /// Joins every abandoned thread, waiting for its job to finish.
+  void join_strays();
+
+ private:
+  struct Stray {
+    std::thread thread;
+    std::future<core::ProjectionReport> done;  ///< Ready once the job ends.
+  };
+
+  mutable std::mutex mutex_;
+  std::vector<Stray> strays_;
+  std::uint64_t abandoned_ = 0;
+};
 
 /// How a journaled job ended. Serialized as "ok"/"failed" at the JSONL
 /// boundary only (see record.cpp); the journal format is unchanged.
@@ -320,20 +375,16 @@ struct SweepSummary {
 ///
 /// The job function maps a spec to its projection; it may throw anything.
 /// With workers > 1 it is called concurrently from pool threads and must
-/// be thread-safe. With a finite deadline each attempt runs on a
-/// supervised thread, and a timed-out attempt's thread is *abandoned* (it
+/// be thread-safe. With a finite deadline each attempt runs under the
+/// AttemptRunner watchdog, and a timed-out attempt is *abandoned* (it
 /// keeps running; its result is discarded) — such job functions must only
 /// touch state that is safe to race with a subsequent attempt, or be
-/// pure. Abandoned threads are joined in the engine destructor, so they
-/// must terminate eventually (simulated hangs do; a truly infinite loop
-/// would block teardown — real deployments should isolate such jobs in
-/// processes, not threads).
+/// pure, and must terminate eventually (see AttemptRunner).
 class SweepEngine {
  public:
-  using JobFn = std::function<core::ProjectionReport(const JobSpec&)>;
+  using JobFn = AttemptRunner::JobFn;
 
   explicit SweepEngine(SweepOptions options = {});
-  ~SweepEngine();
 
   SweepEngine(const SweepEngine&) = delete;
   SweepEngine& operator=(const SweepEngine&) = delete;
@@ -361,12 +412,6 @@ class SweepEngine {
   JobOutcome execute_job(const JobSpec& spec, const JobFn& fn);
 
  private:
-  struct AttemptResult {
-    std::optional<core::ProjectionReport> report;
-    JobError error;  ///< Meaningful when report is empty.
-  };
-
-  AttemptResult run_attempt(const JobSpec& spec, const JobFn& fn);
   /// run() after duplicate fingerprints have been filtered out.
   SweepSummary run_unique(const std::vector<JobSpec>& jobs, const JobFn& fn);
   /// run_unique for shards > 0: forks workers, supervises them, merges
@@ -374,8 +419,7 @@ class SweepEngine {
   SweepSummary run_sharded(const std::vector<JobSpec>& jobs, const JobFn& fn);
 
   SweepOptions options_;
-  std::mutex abandoned_mutex_;          ///< Guards abandoned_ across workers.
-  std::vector<std::thread> abandoned_;  ///< Timed-out attempt threads.
+  AttemptRunner attempts_;
 };
 
 }  // namespace grophecy::exec

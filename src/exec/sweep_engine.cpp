@@ -47,6 +47,77 @@ JobError classify_current_exception() {
   return error;
 }
 
+AttemptRunner::Result AttemptRunner::run(const JobFn& fn, const JobSpec& spec,
+                                         double timeout_s) {
+  {
+    // Join strays whose job has ended since the last attempt, so a
+    // long-lived runner does not accumulate finished threads.
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::erase_if(strays_, [](Stray& stray) {
+      if (stray.done.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready)
+        return false;
+      stray.thread.join();  // prompt: the job has returned
+      return true;
+    });
+  }
+
+  if (std::isinf(timeout_s)) {
+    // No watchdog: run inline, call-for-call identical to a bare loop.
+    try {
+      return {fn(spec), {}};
+    } catch (...) {
+      return {std::nullopt, classify_current_exception()};
+    }
+  }
+
+  std::packaged_task<core::ProjectionReport()> task(
+      [fn, spec] { return fn(spec); });
+  std::future<core::ProjectionReport> future = task.get_future();
+  std::thread worker(std::move(task));
+  if (future.wait_for(std::chrono::duration<double>(timeout_s)) !=
+      std::future_status::ready) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++abandoned_;
+      strays_.push_back({std::move(worker), std::move(future)});
+    }
+    JobError error;
+    error.kind = ErrorKind::kTimeout;
+    error.timed_out = true;
+    error.retryable = true;
+    error.message = util::strfmt(
+        "job %s exceeded the %.3gs deadline; attempt abandoned",
+        spec.key().c_str(), timeout_s);
+    return {std::nullopt, error};
+  }
+  worker.join();
+  try {
+    return {future.get(), {}};
+  } catch (...) {
+    return {std::nullopt, classify_current_exception()};
+  }
+}
+
+std::uint64_t AttemptRunner::abandoned() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return abandoned_;
+}
+
+std::size_t AttemptRunner::strays() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return strays_.size();
+}
+
+void AttemptRunner::join_strays() {
+  std::vector<Stray> strays;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    strays.swap(strays_);
+  }
+  for (Stray& stray : strays) stray.thread.join();
+}
+
 namespace {
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -111,56 +182,10 @@ SweepEngine::SweepEngine(SweepOptions options) : options_(std::move(options)) {
   options_.validate();
 }
 
-SweepEngine::~SweepEngine() {
-  for (std::thread& thread : abandoned_)
-    if (thread.joinable()) thread.join();
-}
-
 int SweepEngine::effective_workers() const {
   if (options_.workers > 0) return options_.workers;
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? static_cast<int>(hardware) : 1;
-}
-
-SweepEngine::AttemptResult SweepEngine::run_attempt(const JobSpec& spec,
-                                                    const JobFn& fn) {
-  if (std::isinf(options_.deadline_s)) {
-    // No watchdog: run inline, call-for-call identical to the bare loop.
-    try {
-      return {fn(spec), {}};
-    } catch (...) {
-      return {std::nullopt, classify_current_exception()};
-    }
-  }
-
-  // Supervised attempt: the job runs on a worker thread while this thread
-  // watches the clock. The task copies fn and spec so an abandoned worker
-  // never dereferences caller stack frames after run() returns.
-  std::packaged_task<core::ProjectionReport()> task(
-      [fn, spec] { return fn(spec); });
-  std::future<core::ProjectionReport> future = task.get_future();
-  std::thread worker(std::move(task));
-  const auto deadline = std::chrono::duration<double>(options_.deadline_s);
-  if (future.wait_for(deadline) != std::future_status::ready) {
-    {
-      std::lock_guard<std::mutex> lock(abandoned_mutex_);
-      abandoned_.push_back(std::move(worker));
-    }
-    JobError error;
-    error.kind = ErrorKind::kTimeout;
-    error.timed_out = true;
-    error.retryable = true;
-    error.message = util::strfmt(
-        "job %s exceeded the %.3gs deadline; attempt abandoned",
-        spec.key().c_str(), options_.deadline_s);
-    return {std::nullopt, error};
-  }
-  worker.join();
-  try {
-    return {future.get(), {}};
-  } catch (...) {
-    return {std::nullopt, classify_current_exception()};
-  }
 }
 
 JobOutcome SweepEngine::execute_job(const JobSpec& spec, const JobFn& fn) {
@@ -170,7 +195,8 @@ JobOutcome SweepEngine::execute_job(const JobSpec& spec, const JobFn& fn) {
   const auto start = std::chrono::steady_clock::now();
   while (true) {
     ++outcome.attempts;
-    AttemptResult attempt = run_attempt(spec, fn);
+    AttemptRunner::Result attempt =
+        attempts_.run(fn, spec, options_.deadline_s);
     if (attempt.report) {
       outcome.status = JobStatus::kOk;
       outcome.report = std::move(attempt.report);

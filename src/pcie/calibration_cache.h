@@ -13,11 +13,12 @@
 // calibrate the Argonne testbed once, and every later construction is a
 // lookup.
 //
-// Concurrency: get_or_calibrate() is single-flight per key. When several
-// sweep workers construct engines for the same machine simultaneously,
-// exactly one runs the calibration; the rest block on a shared future and
-// receive the same report. Distinct keys calibrate concurrently (the
-// factory runs outside the cache lock).
+// The sharing itself is a util::ArtifactCache keyed by the readable
+// calibration_cache_key string: single-flight per key (concurrent sweep
+// workers constructing engines for one machine run one calibration; the
+// rest wait on it), distinct keys calibrate concurrently, and a throwing
+// calibration is evicted, never cached. This class only stamps each
+// returned report with its cache accounting.
 //
 // Determinism: the key includes the calibration seed, so a cached report
 // is bit-identical to what the caller would have measured itself. Cache
@@ -26,13 +27,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "hw/machine.h"
 #include "pcie/calibrator.h"
+#include "util/artifact_cache.h"
 
 namespace grophecy::pcie {
 
@@ -40,8 +39,9 @@ namespace grophecy::pcie {
 /// on: every field of the machine's PCIe spec (profiles + noise), the
 /// full CalibrationOptions (probe sizes, replication, fit, estimator,
 /// robustness), the host memory mode, and the calibration RNG seed.
-/// FNV-1a over the field bytes; stable within a process lifetime, which
-/// is all a process-wide cache needs.
+/// A util::KeyBuilder hash over the fields, prefixed with the link name
+/// for readability; stable within a process lifetime, which is all a
+/// process-wide cache needs.
 std::string calibration_cache_key(const hw::PcieSpec& spec,
                                   const CalibrationOptions& options,
                                   hw::HostMemory memory, std::uint64_t seed);
@@ -50,50 +50,33 @@ std::string calibration_cache_key(const hw::PcieSpec& spec,
 class CalibrationCache {
  public:
   using Factory = std::function<CalibrationReport()>;
+  using Stats = util::ArtifactCache<CalibrationReport, std::string>::Stats;
 
   /// The singleton instance shared by every engine in the process.
   static CalibrationCache& instance();
 
-  /// Returns the cached report for `key`, running `factory` (outside the
-  /// lock) exactly once per key to produce it. Concurrent callers with
-  /// the same key block until the in-flight calibration finishes. The
-  /// returned copy has from_cache/cache_hits/cache_misses stamped; the
-  /// stored entry keeps from_cache = false. A throwing factory poisons
-  /// nothing: every waiter joined to the failed flight observes the same
-  /// typed exception, the failed entry — and only that entry, never a
-  /// fresh flight that raced in after a clear() — is evicted, and the
-  /// next request for the key retriggers calibration.
+  /// Returns the cached report for `key`, running `factory` exactly once
+  /// per key to produce it (ArtifactCache::get_or_build semantics: every
+  /// waiter joined to a failed flight rethrows its typed exception, and
+  /// the next request for the key retriggers calibration). The returned
+  /// copy has from_cache/cache_hits/cache_misses stamped; the stored
+  /// entry keeps from_cache = false.
   CalibrationReport get_or_calibrate(const std::string& key,
                                      const Factory& factory);
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  Stats stats() const;
+  Stats stats() const { return cache_.stats(); }
 
   /// Cached entries (completed or in flight).
-  std::size_t size() const;
+  std::size_t size() const { return cache_.size(); }
 
   /// Drops every entry and zeroes the counters (tests; a long-lived
   /// daemon recalibrating on a schedule would also use this).
-  void clear();
+  void clear() { cache_.clear(); }
 
  private:
   CalibrationCache() = default;
 
-  /// One calibration in flight (or completed). Entries are held behind a
-  /// shared_ptr so a failed flight can be evicted by *identity*: the
-  /// owner erases the map slot only while it still holds this exact
-  /// flight, never a successor installed after a concurrent clear().
-  struct Flight {
-    std::shared_future<CalibrationReport> future;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<Flight>> entries_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  util::ArtifactCache<CalibrationReport, std::string> cache_;
 };
 
 }  // namespace grophecy::pcie

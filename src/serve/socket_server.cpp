@@ -48,7 +48,10 @@ sockaddr_un make_address(const std::string& path) {
 
 /// One live client connection. Outlives its fd: reply callbacks hold a
 /// shared_ptr to it, and `closed` (under `write_mutex`) makes a late
-/// reply a no-op instead of a write to a recycled descriptor.
+/// reply a no-op instead of a write to a recycled descriptor. Only the
+/// reader thread closes the fd, on exit; everyone else (stop(), a failed
+/// write) merely shuts it down, which unblocks the reader's recv without
+/// freeing the descriptor under it.
 struct SocketServer::Connection {
   int fd = -1;
   std::mutex write_mutex;
@@ -59,18 +62,18 @@ struct SocketServer::Connection {
     if (closed) return;
     std::string framed = line;
     framed.push_back('\n');
-    if (!send_all(fd, framed.data(), framed.size())) close_locked();
+    if (!send_all(fd, framed.data(), framed.size()))
+      ::shutdown(fd, SHUT_RDWR);
+  }
+
+  void shutdown() {
+    std::lock_guard<std::mutex> lock(write_mutex);
+    if (!closed) ::shutdown(fd, SHUT_RDWR);
   }
 
   void close() {
     std::lock_guard<std::mutex> lock(write_mutex);
-    close_locked();
-  }
-
-  void close_locked() {
-    if (closed) return;
     closed = true;
-    ::shutdown(fd, SHUT_RDWR);  // unblocks the reader thread's recv
     ::close(fd);
   }
 };
@@ -106,11 +109,12 @@ void SocketServer::start() {
 void SocketServer::stop() {
   if (!running_.exchange(false)) return;
   stopping_.store(true);
-  // Closing the listener makes accept() fail, ending the accept loop.
+  // Shutting the listener down makes accept() fail, ending the accept
+  // loop; the fd is closed only once that thread can no longer read it.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   std::vector<std::shared_ptr<Connection>> connections;
   std::vector<std::thread> threads;
@@ -119,8 +123,9 @@ void SocketServer::stop() {
     connections.swap(connections_);
     threads.swap(connection_threads_);
   }
+  // Each reader wakes from recv and closes its own fd on exit.
   for (const std::shared_ptr<Connection>& connection : connections)
-    connection->close();
+    connection->shutdown();
   for (std::thread& thread : threads)
     if (thread.joinable()) thread.join();
   ::unlink(options_.socket_path.c_str());
@@ -156,7 +161,7 @@ void SocketServer::serve_connection(std::shared_ptr<Connection> connection) {
   while (true) {
     const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF or connection closed by stop()
+    if (n <= 0) break;  // EOF, or shut down by stop() or a failed write
     buffer.append(chunk, static_cast<std::size_t>(n));
 
     std::size_t start = 0;

@@ -65,7 +65,7 @@
 namespace grophecy::sim {
 
 /// Demand threshold below which a demand counts as exhausted (shared with
-/// the retained reference engine so the two agree on degeneracy).
+/// the reference oracle in tests/oracles so the two agree on degeneracy).
 inline constexpr double kSimEps = 1e-15;
 
 /// Static per-block demands derived from the kernel characteristics via

@@ -7,7 +7,9 @@
 // Sweeps re-derive them once per job; this cache derives each once per
 // process and hands every later consumer the same immutable object.
 //
-//   * Keys are 64-bit FNV-1a content hashes (build them with KeyBuilder).
+//   * Keys are 64-bit FNV-1a content hashes by default (build them with
+//     KeyBuilder); the Key parameter admits any ordered type, e.g. the
+//     readable "<link>/<hash>" strings pcie::CalibrationCache keys on.
 //   * Values are `shared_ptr<const Value>`: immutable and safely shared
 //     across SweepEngine workers without copies or locks on the artifact.
 //   * get_or_build is single-flight per key: concurrent misses on one key
@@ -31,17 +33,19 @@
 #include <mutex>
 #include <string_view>
 
+#include "util/checksum.h"
+
 namespace grophecy::util {
 
 /// Incrementally folds heterogeneous fields into one 64-bit FNV-1a state
-/// (the same scheme as pcie::calibration_cache_key). Strings are length
-/// prefixed so ("ab","c") and ("a","bc") fold differently; doubles are
-/// folded via their bit representation, since a cache must distinguish
+/// (util::fnv1a64_fold per field). Strings are length prefixed so
+/// ("ab","c") and ("a","bc") fold differently; doubles are folded via
+/// their bit representation, since a cache must distinguish
 /// any inputs the computation could distinguish.
 class KeyBuilder {
  public:
   KeyBuilder& field(std::uint64_t value) {
-    hash_ = fold(hash_, value);
+    hash_ = fnv1a64_fold(hash_, value);
     return *this;
   }
   KeyBuilder& field(std::int64_t value) {
@@ -56,7 +60,8 @@ class KeyBuilder {
   }
   KeyBuilder& field(std::string_view value) {
     field(static_cast<std::uint64_t>(value.size()));
-    for (char c : value) hash_ = fold(hash_, static_cast<unsigned char>(c));
+    for (char c : value)
+      hash_ = fnv1a64_fold(hash_, static_cast<unsigned char>(c));
     return *this;
   }
   /// Without this overload a string literal would take the bool overload
@@ -69,21 +74,12 @@ class KeyBuilder {
   std::uint64_t hash() const { return hash_; }
 
  private:
-  static std::uint64_t fold(std::uint64_t hash, std::uint64_t value) {
-    // FNV-1a over the value's eight bytes, little-endian.
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-    return hash;
-  }
-
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis.
 };
 
 /// One process-wide cache of immutable artifacts. Thread-safe; see file
 /// comment for the single-flight and determinism contracts.
-template <typename Value>
+template <typename Value, typename Key = std::uint64_t>
 class ArtifactCache {
  public:
   using Artifact = std::shared_ptr<const Value>;
@@ -100,7 +96,7 @@ class ArtifactCache {
   /// poisons nothing: the failed entry is evicted so a later call may
   /// retry, and the exception propagates to every caller waiting on that
   /// flight. When `from_cache` is non-null it is set to true on a hit.
-  Artifact get_or_build(std::uint64_t key, const Factory& factory,
+  Artifact get_or_build(const Key& key, const Factory& factory,
                         bool* from_cache = nullptr) {
     std::promise<Artifact> promise;
     std::shared_ptr<Flight> flight;
@@ -126,9 +122,8 @@ class ArtifactCache {
         promise.set_exception(std::current_exception());
         // Evict by flight *identity*, not by key: if clear() raced in
         // between and a fresh, healthy flight already occupies the key,
-        // that successor must survive (same contract as the PR 6
-        // CalibrationCache fix — erasing by key would drop it and re-run
-        // its factory, breaking single-flight).
+        // that successor must survive — erasing by key would drop it and
+        // re-run its factory, breaking single-flight.
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(key);
         if (it != entries_.end() && it->second == flight) entries_.erase(it);
@@ -168,7 +163,7 @@ class ArtifactCache {
   };
 
   mutable std::mutex mutex_;
-  std::map<std::uint64_t, std::shared_ptr<Flight>> entries_;
+  std::map<Key, std::shared_ptr<Flight>> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -26,8 +26,16 @@ std::string crc32_hex(std::string_view data);
 std::uint64_t fnv1a64(std::string_view data);
 
 /// Folds `value` into an FNV-1a hash in progress (for hashing structs
-/// field by field: start from fnv1a64("") or a previous fold).
-std::uint64_t fnv1a64_fold(std::uint64_t hash, std::uint64_t value);
+/// field by field: start from fnv1a64("") or a previous fold). FNV-1a
+/// over the value's eight bytes, little-endian. Inline: util::KeyBuilder
+/// folds every key byte through it.
+inline std::uint64_t fnv1a64_fold(std::uint64_t hash, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xFFu;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer. Seeding a
 /// stochastic stream with splitmix64(base ^ fnv1a64(key)) gives every key

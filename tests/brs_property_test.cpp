@@ -23,9 +23,9 @@
 #include <set>
 #include <vector>
 
-#include "brs/reference_section_set.h"
 #include "brs/section.h"
 #include "brs/section_set.h"
+#include "oracles/reference_section_set.h"
 #include "skeleton/skeleton.h"
 #include "util/rng.h"
 

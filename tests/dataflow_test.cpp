@@ -4,6 +4,8 @@
 // workloads' transfer volumes match Table I.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "dataflow/usage_analyzer.h"
 #include "skeleton/builder.h"
 #include "util/units.h"
@@ -193,6 +195,12 @@ struct TableOneVolume {
   double input_mb;
   double output_mb;
 };
+
+// Prints the case into its test name; the default (raw bytes, pointers
+// included) would change the name on every run.
+void PrintTo(const TableOneVolume& volume, std::ostream* os) {
+  *os << volume.input_mb << " MB in, " << volume.output_mb << " MB out";
+}
 
 class TransferVolumes : public ::testing::TestWithParam<TableOneVolume> {};
 

@@ -7,6 +7,7 @@
 #include "core/grophecy.h"
 #include "gpumodel/explorer.h"
 #include "hw/registry.h"
+#include "oracles/reference_event_sim.h"
 #include "sim/event_sim.h"
 #include "sim/gpu_sim.h"
 #include "skeleton/builder.h"
@@ -38,16 +39,14 @@ KernelCharacteristics characterize_first(const skeleton::AppSkeleton& app,
   return gpumodel::characterize(app, app.kernels[0], variant, g80());
 }
 
-TEST(EventSim, EngineFlagSelectsReferenceWithIdenticalExpectation) {
+TEST(EventSim, ExpectationMatchesTheReferenceOracleBitwise) {
   const auto app = streaming_app(1 << 20);
   const KernelCharacteristics kc = characterize_first(app);
   EventGpuSimulator fast(g80(), 1);
-  EventGpuSimulator reference(g80(), 1,
-                              EventSimOptions{SimEngine::kReference, 0.0});
-  EXPECT_EQ(fast.options().engine, SimEngine::kCohort);
-  EXPECT_EQ(reference.options().engine, SimEngine::kReference);
-  // Jitter-free results are bitwise-equal across engines (the dedicated
-  // equivalence suite covers randomized shapes and the jittered paths).
+  ReferenceEventSimulator reference(g80(), 1);
+  // Jitter-free results are bitwise-equal to the per-block oracle (the
+  // dedicated equivalence suite covers randomized shapes and the
+  // jittered paths).
   EXPECT_EQ(fast.expected_launch(kc).total_s,
             reference.expected_launch(kc).total_s);
 }

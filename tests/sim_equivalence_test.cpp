@@ -1,5 +1,5 @@
-// Equivalence suite: the cohort event engine vs the retained reference
-// engine. Jitter-free results must match BITWISE (the cohort engine
+// Equivalence suite: the cohort event engine vs the per-block reference
+// oracle (tests/oracles/reference_event_sim.h). Jitter-free results must match BITWISE (the cohort engine
 // replays the reference's exact floating-point expressions in the same
 // event order); jittered results must match per-run to rounding accuracy
 // (same placement policy, same draw order, different but equivalent
@@ -13,6 +13,7 @@
 #include "gpumodel/characteristics.h"
 #include "gpumodel/occupancy.h"
 #include "hw/registry.h"
+#include "oracles/reference_event_sim.h"
 #include "sim/cohort_sim.h"
 #include "sim/event_sim.h"
 #include "util/rng.h"
@@ -76,8 +77,7 @@ bool feasible(const KernelCharacteristics& kc, const hw::GpuSpec& gpu) {
 TEST(SimEquivalence, JitterFreeIsBitwiseEqualOnRandomKernels) {
   const hw::GpuSpec gpu = g80();
   EventGpuSimulator cohort(gpu, 1);
-  EventGpuSimulator reference(gpu, 1,
-                              EventSimOptions{SimEngine::kReference, 0.0});
+  ReferenceEventSimulator reference(gpu, 1);
   util::Rng rng(2024);
   int tested = 0;
   for (int i = 0; i < 200; ++i) {
@@ -96,8 +96,7 @@ TEST(SimEquivalence, JitterFreeIsBitwiseEqualOnRandomKernels) {
 TEST(SimEquivalence, JitterFreeCoversPartialAndDegenerateShapes) {
   const hw::GpuSpec gpu = g80();
   EventGpuSimulator cohort(gpu, 1);
-  EventGpuSimulator reference(gpu, 1,
-                              EventSimOptions{SimEngine::kReference, 0.0});
+  ReferenceEventSimulator reference(gpu, 1);
 
   KernelCharacteristics kc;
   kc.kernel_name = "shapes";
@@ -152,8 +151,7 @@ TEST(SimEquivalence, JitteredRunsTrackTheReferencePerRun) {
   // arithmetic differs (drain-level coordinates vs per-event decrements),
   // so allow rounding-scale drift only.
   EventGpuSimulator cohort(gpu, 99);
-  EventGpuSimulator reference(gpu, 99,
-                              EventSimOptions{SimEngine::kReference, 0.0});
+  ReferenceEventSimulator reference(gpu, 99);
   for (int run = 0; run < 20; ++run) {
     const double fast = cohort.run_launch_seconds(kc);
     const double slow = reference.run_launch_seconds(kc);
@@ -175,7 +173,7 @@ TEST(SimEquivalence, JitteredDistributionsAgree) {
   kc.accesses.push_back(access);
 
   // Different seeds per engine: only the distributions should agree.
-  auto stats = [&](EventGpuSimulator& sim) {
+  auto stats = [&](auto& sim) {
     double mean = 0.0, m2 = 0.0;
     const int n = 150;
     for (int i = 1; i <= n; ++i) {
@@ -187,8 +185,7 @@ TEST(SimEquivalence, JitteredDistributionsAgree) {
     return std::pair<double, double>{mean, std::sqrt(m2 / (n - 1))};
   };
   EventGpuSimulator cohort(gpu, 7);
-  EventGpuSimulator reference(gpu, 1234,
-                              EventSimOptions{SimEngine::kReference, 0.0});
+  ReferenceEventSimulator reference(gpu, 1234);
   const auto [fast_mean, fast_sd] = stats(cohort);
   const auto [slow_mean, slow_sd] = stats(reference);
   EXPECT_NEAR(fast_mean, slow_mean, 0.03 * slow_mean);
@@ -215,7 +212,7 @@ TEST(SimEquivalence, QuantizedJitterSharesCohortsAndStaysClose) {
   };
   EventGpuSimulator continuous(gpu, 5);
   EventGpuSimulator quantized(gpu, 5,
-                              EventSimOptions{SimEngine::kCohort, 0.5});
+                              EventSimOptions{0.5});
   const double continuous_mean = mean_of(continuous);
   const double quantized_mean = mean_of(quantized);
   EXPECT_NEAR(quantized_mean, continuous_mean, 0.05 * continuous_mean);
@@ -250,7 +247,7 @@ TEST(SimEquivalence, QuantizedCohortsBoundedByLatticePointsPerSm) {
 
   const double quantum = 4.0;  // lattice step of 4 sigma: a handful of points
   EventGpuSimulator quantized(gpu, 21,
-                              EventSimOptions{SimEngine::kCohort, quantum});
+                              EventSimOptions{quantum});
   (void)quantized.run_launch_seconds(kc);
   const CohortSimStats& stats = quantized.last_stats();
   EXPECT_EQ(stats.blocks, capacity);
@@ -290,7 +287,7 @@ TEST(SimEquivalence, QuantizedRunsAreDeterministicAndIsolated) {
   other.variant.block_size = 64;
   other.num_blocks = 700;
 
-  const EventSimOptions opts{SimEngine::kCohort, 0.5};
+  const EventSimOptions opts{0.5};
   EventGpuSimulator plain(gpu, 31, opts);
   EventGpuSimulator interleaved(gpu, 31, opts);
   for (int run = 0; run < 5; ++run) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <ostream>
 
 #include "brs/footprint.h"
 #include "dataflow/usage_analyzer.h"
@@ -137,6 +138,12 @@ struct BadDoc {
   int line;
   const char* needle;
 };
+
+// Prints the case into its test name; the default (raw bytes, pointers
+// included) would change the name on every run.
+void PrintTo(const BadDoc& doc, std::ostream* os) {
+  *os << "error on line " << doc.line;
+}
 
 class ParseErrors : public ::testing::TestWithParam<BadDoc> {};
 

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -286,11 +287,50 @@ TEST(SweepEngine, FaultInjectorHangSurfacesAsTimeoutNotAStuckSweep) {
   ASSERT_TRUE(b->error.has_value());
   EXPECT_EQ(b->error->kind, ErrorKind::kTimeout);
   EXPECT_TRUE(b->error->timed_out);
+  EXPECT_TRUE(b->error->retryable);
   EXPECT_EQ(b->attempts, 2);  // timed out, retried, timed out again
   {
     std::lock_guard<std::mutex> lock(injector_mutex);
     EXPECT_GE(injector.stats().hangs, 1u);
   }
+}
+
+TEST(AttemptRunner, AbandonedAttemptIsJoinedByTheNextRunAfterItFinishes) {
+  AttemptRunner runner;
+  const JobSpec spec{"W", "hang", 1};
+  std::atomic<bool> release{false};
+  const AttemptRunner::Result timed_out = runner.run(
+      [&release](const JobSpec& s) {
+        while (!release.load())
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return fake_report(s);
+      },
+      spec, 0.02);
+  EXPECT_FALSE(timed_out.report.has_value());
+  EXPECT_EQ(timed_out.error.kind, ErrorKind::kTimeout);
+  EXPECT_TRUE(timed_out.error.timed_out);
+  EXPECT_TRUE(timed_out.error.retryable);
+  EXPECT_EQ(runner.abandoned(), 1u);
+  EXPECT_EQ(runner.strays(), 1u);
+
+  // While the abandoned job still runs, later attempts neither wait for
+  // it nor drop it.
+  const auto quick = [](const JobSpec& s) { return fake_report(s); };
+  const double no_deadline = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(runner.run(quick, spec, no_deadline).report.has_value());
+  EXPECT_EQ(runner.strays(), 1u);
+
+  // Once it returns, the next run() joins its thread — not only the
+  // runner's destructor.
+  release = true;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (runner.strays() > 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    (void)runner.run(quick, spec, no_deadline);
+  }
+  EXPECT_EQ(runner.strays(), 0u);
+  EXPECT_EQ(runner.abandoned(), 1u);
 }
 
 // --- journaling + resume ---
